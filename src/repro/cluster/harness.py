@@ -21,8 +21,12 @@ import threading
 import time
 from typing import Any
 
+from repro.durability.codec import encode_definition, encode_schema
 from repro.engine.transaction import Transaction, Update
 from repro.service.cache import QueryResultCache
+from repro.storage.tuples import Schema
+from repro.views.definition import AggregateView, SelectProjectView
+from repro.views.predicate import IntervalPredicate
 from .replication import ReplicationConfig
 from .router import ClusterRouter
 from .shardmap import ShardMap
@@ -57,10 +61,18 @@ def demo_spec(
 ) -> dict[str, Any]:
     """A cluster worker spec holding the full demo data set."""
     rng = random.Random(seed)
+    schema = Schema("r", ("id", "a", "v"), "id", tuple_bytes=100)
+    # Spec records are codec field maps (encode_fields); int fields are
+    # their own encoding, so the literal dicts already are those maps.
     records = [
         {"id": i, "a": rng.randrange(DOMAIN), "v": rng.randrange(100)}
         for i in range(n_records)
     ]
+    whole_domain = IntervalPredicate("a", 0, DOMAIN - 1, selectivity=1.0)
+    definitions = (
+        SelectProjectView("by_a", "r", whole_domain, ("id", "a", "v"), "a"),
+        AggregateView("total", "r", whole_domain, "sum", "v"),
+    )
     return {
         "buffer_pages": 256,
         "cache": cache,
@@ -69,10 +81,7 @@ def demo_spec(
         "state_dir": state_dir,
         "relations": [
             {
-                "name": "r",
-                "fields": ["id", "a", "v"],
-                "key_field": "id",
-                "tuple_bytes": 100,
+                "schema": encode_schema(schema),
                 "clustered_on": "a",
                 "kind": "hypothetical",
                 "ad_buckets": 2,
@@ -81,27 +90,11 @@ def demo_spec(
         ],
         "views": [
             {
-                "type": "select_project",
-                "name": "by_a",
-                "relation": "r",
-                "predicate": {"field": "a", "lo": 0, "hi": DOMAIN - 1,
-                              "selectivity": 1.0},
-                "projection": ["id", "a", "v"],
-                "view_key": "a",
+                "definition": encode_definition(definition),
                 "strategy": strategy,
                 "policy": refresh_policy,
-            },
-            {
-                "type": "aggregate",
-                "name": "total",
-                "relation": "r",
-                "predicate": {"field": "a", "lo": 0, "hi": DOMAIN - 1,
-                              "selectivity": 1.0},
-                "aggregate": "sum",
-                "field": "v",
-                "strategy": strategy,
-                "policy": refresh_policy,
-            },
+            }
+            for definition in definitions
         ],
     }
 

@@ -234,7 +234,7 @@ class ReplicaSet:
         spec = dict(self.spec)
         if records is not None:
             spec["relations"] = [
-                {**rel, "records": list(records.get(rel["name"], ()))}
+                {**rel, "records": list(records.get(rel["schema"]["name"], ()))}
                 for rel in self.spec.get("relations", ())
             ]
         spec["replica_epoch"] = int(replica_epoch)

@@ -40,14 +40,25 @@ from __future__ import annotations
 import threading
 from typing import Any, Iterable, Mapping
 
+from repro.durability.codec import (
+    decode_definition,
+    decode_fields,
+    decode_schema,
+    decode_value,
+    encode_operation,
+    encode_value,
+)
+from repro.engine.transaction import Delete, Insert, Update
 from repro.resilience.degradation import DegradedResult
 from repro.service.cache import QueryResultCache
 from repro.service.metrics import MetricsRegistry
+from repro.storage.tuples import Record, SchemaError
+from repro.views.definition import AggregateView, JoinView
 from .metrics import aggregate_metrics
 from .replication import ReplicaSet, ReplicationConfig, ReplicationError
 from .rpc import RpcError, ShardTimeout
 from .shardmap import ShardMap
-from .worker import decode_answer, encode_operation
+from .worker import decode_answer
 
 __all__ = ["ClusterRouter", "ClusterError", "ClusterClosedError"]
 
@@ -91,29 +102,28 @@ class _ViewMeta:
 
 
 def _view_meta(doc: Mapping[str, Any], shard_map: ShardMap) -> _ViewMeta:
-    kind = doc["type"]
-    if kind == "aggregate":
-        merge = _SCALAR_MERGES.get(doc["aggregate"])
+    definition = decode_definition(doc)
+    name = definition.name
+    if isinstance(definition, AggregateView):
+        merge = _SCALAR_MERGES.get(definition.aggregate)
         if merge is None:
             raise ClusterError(
-                f"view {doc['name']!r}: aggregate {doc['aggregate']!r} does "
+                f"view {name!r}: aggregate {definition.aggregate!r} does "
                 f"not merge across shards (supported: "
                 f"{', '.join(sorted(_SCALAR_MERGES))})"
             )
+        return _ViewMeta(name, "scalar", (definition.relation,), None, merge, False)
+    if isinstance(definition, JoinView):
         return _ViewMeta(
-            doc["name"], "scalar", (doc["relation"],), None, merge, False
-        )
-    if kind == "join":
-        return _ViewMeta(
-            doc["name"], "tuples", (doc["outer"], doc["inner"]),
-            doc["view_key"], None, False,
+            name, "tuples", (definition.outer, definition.inner),
+            definition.view_key, None, False,
         )
     prunable = (
         shard_map.scheme == "range"
-        and doc["view_key"] == shard_map.partition_field
+        and definition.view_key == shard_map.partition_field
     )
     return _ViewMeta(
-        doc["name"], "tuples", (doc["relation"],), doc["view_key"], None, prunable
+        name, "tuples", (definition.relation,), definition.view_key, None, prunable
     )
 
 
@@ -218,24 +228,26 @@ class ClusterRouter:
         field = shard_map.partition_field
         views = {}
         for view_doc in spec.get("views", ()):
-            meta = _view_meta(view_doc, shard_map)
+            meta = _view_meta(view_doc["definition"], shard_map)
             views[meta.name] = meta
 
         directory: dict[tuple[str, Any], int] = {}
         shard_records: dict[str, list[list[dict[str, Any]]]] = {}
         for rel in spec.get("relations", ()):
-            if field not in rel["fields"]:
+            schema = decode_schema(rel["schema"])
+            if field not in schema.fields:
                 raise ClusterError(
-                    f"relation {rel['name']!r} has no partition field {field!r}"
+                    f"relation {schema.name!r} has no partition field {field!r}"
                 )
             buckets: list[list[dict[str, Any]]] = [
                 [] for _ in range(shard_map.n_shards)
             ]
-            for values in rel.get("records", ()):
-                shard = shard_map.shard_of(values[field])
-                buckets[shard].append(values)
-                directory[(rel["name"], values[rel["key_field"]])] = shard
-            shard_records[rel["name"]] = buckets
+            # Records stay encoded: each bucket ships as-is to its shard.
+            for doc in rel.get("records", ()):
+                shard = shard_map.shard_of(decode_value(doc[field]))
+                buckets[shard].append(doc)
+                directory[(schema.name, decode_value(doc[schema.key_field]))] = shard
+            shard_records[schema.name] = buckets
 
         router = cls(
             shard_map, [], views, directory,
@@ -246,7 +258,7 @@ class ClusterRouter:
                 shard_spec = dict(spec)
                 shard_spec["shard_id"] = shard
                 shard_spec["relations"] = [
-                    {**rel, "records": shard_records[rel["name"]][shard]}
+                    {**rel, "records": shard_records[rel["schema"]["name"]][shard]}
                     for rel in spec.get("relations", ())
                 ]
                 state_dir = None
@@ -572,33 +584,30 @@ class ClusterRouter:
             staged: dict[int, list[tuple[Any, int | None]]] = {}
             overlay: dict[tuple[str, Any], int | None] = {}
             for op in txn.operations:
-                doc = encode_operation(op)
-                if doc["kind"] == "insert":
-                    shard = self.shard_map.shard_of(doc["values"][field])
+                if isinstance(op, Insert):
                     key = op.record.key
+                    if field not in op.record.values:
+                        raise SchemaError(f"insert into {relation!r} lacks {field!r}")
+                    shard = self.shard_map.shard_of(op.record[field])
                     overlay[(relation, key)] = shard
                     staged.setdefault(shard, []).append((key, shard))
-                    pending.setdefault(shard, []).append(doc)
-                elif doc["kind"] == "delete":
-                    shard = self._owner(relation, doc["key"], overlay)
-                    overlay[(relation, doc["key"])] = None
-                    staged.setdefault(shard, []).append((doc["key"], None))
-                    pending.setdefault(shard, []).append(doc)
+                elif isinstance(op, Delete):
+                    shard = self._owner(relation, op.key, overlay)
+                    overlay[(relation, op.key)] = None
+                    staged.setdefault(shard, []).append((op.key, None))
                 else:
-                    shard = self._owner(relation, doc["key"], overlay)
-                    changes = doc["changes"]
-                    if field in changes:
-                        target = self.shard_map.shard_of(changes[field])
+                    shard = self._owner(relation, op.key, overlay)
+                    if field in op.changes:
+                        target = self.shard_map.shard_of(op.changes[field])
                         if target != shard:
                             self._flush(relation, pending, staged, client,
                                         only={shard, target},
                                         timeout=timeout)
-                            self._move(relation, doc["key"], changes,
-                                       shard, target, client,
+                            self._move(relation, op, shard, target, client,
                                        timeout=timeout)
-                            overlay[(relation, doc["key"])] = target
+                            overlay[(relation, op.key)] = target
                             continue
-                    pending.setdefault(shard, []).append(doc)
+                pending.setdefault(shard, []).append(encode_operation(op))
             self._flush(relation, pending, staged, client, timeout=timeout)
             if self.cache is not None:
                 # Bump *after* every shard committed: a reader that
@@ -710,8 +719,7 @@ class ClusterRouter:
     def _move(
         self,
         relation: str,
-        key: Any,
-        changes: Mapping[str, Any],
+        update: Update,
         source: int,
         target: int,
         client: str,
@@ -727,10 +735,14 @@ class ClusterRouter:
         the tuple is still intact on the source and the directory is
         untouched; a failure *after* the insert leaves a transient
         duplicate (recoverable — the directory already points at the
-        authoritative new copy) rather than a lost tuple.
+        authoritative new copy) rather than a lost tuple.  The moved
+        tuple keeps its key (the directory is keyed by it), so the
+        target's schema check rejects a move that also changes the key
+        field before anything moves.
         """
+        key = update.key
         fetched = self.shards[source].call_primary(
-            "fetch", relation=relation, key=key, timeout=timeout,
+            "fetch", relation=relation, key=encode_value(key), timeout=timeout,
         )
         values = fetched.get("values")
         if values is None:
@@ -738,18 +750,17 @@ class ClusterRouter:
                 f"move of {relation!r} key {key!r}: tuple missing on shard "
                 f"{source} (directory out of sync)"
             )
-        values = dict(values)
-        values.update(changes)
+        moved = Record(key, {**decode_fields(values), **update.changes})
         # Both halves go through the replica sets so the move is
         # shipped to replicas like any other committed batch.
         self.shards[target].apply_update(
-            relation, [{"kind": "insert", "values": values}], client=client,
+            relation, [encode_operation(Insert(moved))], client=client,
             timeout=timeout,
         )
         with self._directory_lock:
             self._directory[(relation, key)] = target
         self.shards[source].apply_update(
-            relation, [{"kind": "delete", "key": key}], client=client,
+            relation, [encode_operation(Delete(key))], client=client,
             timeout=timeout,
         )
         self.metrics.counter("cross_shard_moves_total", relation=relation).inc()

@@ -43,11 +43,18 @@ __all__ = [
     "RemoteOpError",
     "FrameError",
     "ShardClient",
+    "MAX_FRAME_BYTES",
+    "HEADER_BYTES",
+    "pack_frame",
+    "frame_length",
+    "decode_payload",
     "send_frame",
     "recv_frame",
 ]
 
 _LENGTH = struct.Struct("!I")
+#: Bytes in a frame header (the big-endian payload length).
+HEADER_BYTES = _LENGTH.size
 
 #: Upper bound on one frame; a corrupt length prefix fails loudly
 #: instead of attempting a multi-gigabyte read.
@@ -93,12 +100,36 @@ class RemoteOpError(RpcError):
         self.message = message
 
 
-def send_frame(sock: socket.socket, doc: Mapping[str, Any]) -> None:
-    """Write one length-prefixed JSON frame."""
+def pack_frame(doc: Mapping[str, Any]) -> bytes:
+    """One length-prefixed JSON frame as bytes."""
     payload = json.dumps(doc, separators=(",", ":")).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameError(f"frame of {len(payload)} bytes exceeds the protocol cap")
-    sock.sendall(_LENGTH.pack(len(payload)) + payload)
+    return _LENGTH.pack(len(payload)) + payload
+
+
+def frame_length(header: bytes) -> int:
+    """The payload length a frame header announces, checked against the cap."""
+    (length,) = _LENGTH.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        raise FrameError(f"frame length {length} exceeds the protocol cap")
+    return length
+
+
+def decode_payload(payload: bytes) -> dict[str, Any]:
+    """A frame's payload as the JSON object it must be (every reader's decoder)."""
+    try:
+        doc = json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FrameError(f"frame payload is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FrameError(f"frame must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def send_frame(sock: socket.socket, doc: Mapping[str, Any]) -> None:
+    """Write one length-prefixed JSON frame."""
+    sock.sendall(pack_frame(doc))
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
@@ -118,22 +149,13 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
 
 def recv_frame(sock: socket.socket) -> dict[str, Any] | None:
     """Read one frame; ``None`` means the peer closed cleanly."""
-    header = _recv_exact(sock, _LENGTH.size)
+    header = _recv_exact(sock, HEADER_BYTES)
     if header is None:
         return None
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(f"frame length {length} exceeds the protocol cap")
-    payload = _recv_exact(sock, length)
+    payload = _recv_exact(sock, frame_length(header))
     if payload is None:
         raise FrameError("connection closed between header and payload")
-    try:
-        doc = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FrameError(f"frame payload is not JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FrameError(f"frame must be a JSON object, got {type(doc).__name__}")
-    return doc
+    return decode_payload(payload)
 
 
 class ShardClient:
@@ -250,28 +272,12 @@ class ShardClient:
     def _read_frame(self) -> dict[str, Any] | None:
         """One frame via the persistent receive buffer."""
         while True:
-            if len(self._rxbuf) >= _LENGTH.size:
-                (length,) = _LENGTH.unpack(bytes(self._rxbuf[:_LENGTH.size]))
-                if length > MAX_FRAME_BYTES:
-                    raise FrameError(
-                        f"frame length {length} exceeds the protocol cap"
-                    )
-                end = _LENGTH.size + length
+            if len(self._rxbuf) >= HEADER_BYTES:
+                end = HEADER_BYTES + frame_length(bytes(self._rxbuf[:HEADER_BYTES]))
                 if len(self._rxbuf) >= end:
-                    payload = bytes(self._rxbuf[_LENGTH.size:end])
+                    payload = bytes(self._rxbuf[HEADER_BYTES:end])
                     del self._rxbuf[:end]
-                    try:
-                        doc = json.loads(payload.decode("utf-8"))
-                    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                        raise FrameError(
-                            f"frame payload is not JSON: {exc}"
-                        ) from exc
-                    if not isinstance(doc, dict):
-                        raise FrameError(
-                            f"frame must be a JSON object, "
-                            f"got {type(doc).__name__}"
-                        )
-                    return doc
+                    return decode_payload(payload)
             chunk = self.sock.recv(65536)
             if not chunk:
                 if self._rxbuf:

@@ -8,7 +8,25 @@ slice of every base relation, and speaks the framed RPC protocol of
 Everything a worker needs is described by a plain-dict *worker spec*
 (picklable, JSON-able), so the same spec document drives the in-process
 test harness, the forked benchmark workers and the ``repro-cluster``
-CLI.  Views are registered with ``adaptive=False`` inside workers: a
+CLI.  Engine objects inside a spec are :mod:`repro.durability.codec`
+documents — the same ones the WAL journals::
+
+    {"buffer_pages": int, "cache": bool, "pacing": float,
+     "lock_timeout": float, "state_dir": str | None,
+     "relations": [{"schema": encode_schema(...), "clustered_on": str,
+                    "kind": str, "ad_buckets": int,
+                    "records": [encode_fields(record.values), ...]}],
+     "views": [{"definition": encode_definition(...),
+                "strategy": str, "policy": {"kind": str, "every": int}
+                                           | None}]}
+
+A spec record is its encoded field map (the schema names the key
+field), so a record holding plain scalars reads as the plain dict it
+is.  Shard ``update``/``apply_delta`` calls carry the codec's operation
+docs (:func:`~repro.durability.codec.encode_operation`); ``snapshot``
+ships spec records and ``fetch`` one record's field map.
+
+Views are registered with ``adaptive=False`` inside workers: a
 strategy migration must be a cluster-wide decision (all shards answer
 under the same strategy or the equivalence guarantee means nothing),
 so per-shard routers stay off.
@@ -22,21 +40,22 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.core.strategies import Strategy
+from repro.durability.codec import (
+    decode_definition,
+    decode_fields,
+    decode_operation,
+    decode_schema,
+    decode_value,
+    encode_fields,
+)
 from repro.engine.database import Database
-from repro.engine.transaction import Delete, Insert, Operation, Transaction, Update
+from repro.engine.transaction import Transaction
 from repro.hr.differential import HypotheticalRelation
 from repro.resilience.degradation import DegradedResult
 from repro.service.cache import QueryResultCache
 from repro.service.scheduler import RefreshPolicy
 from repro.service.server import ViewServer
-from repro.storage.tuples import Schema
-from repro.views.definition import (
-    AggregateView,
-    JoinView,
-    SelectProjectView,
-    ViewTuple,
-)
-from repro.views.predicate import IntervalPredicate, TruePredicate
+from repro.views.definition import ViewTuple
 from .rpc import recv_frame, send_frame
 
 __all__ = [
@@ -45,8 +64,6 @@ __all__ = [
     "WorkerState",
     "build_server",
     "worker_main",
-    "encode_operation",
-    "decode_operation",
     "encode_answer",
     "decode_answer",
 ]
@@ -77,27 +94,8 @@ class WorkerState:
 
 
 # ----------------------------------------------------------------------
-# wire encoding of transactions and answers
+# wire encoding of answers
 # ----------------------------------------------------------------------
-def encode_operation(op: Operation) -> dict[str, Any]:
-    if isinstance(op, Insert):
-        return {"kind": "insert", "values": dict(op.record.values)}
-    if isinstance(op, Delete):
-        return {"kind": "delete", "key": op.key}
-    return {"kind": "update", "key": op.key, "changes": dict(op.changes)}
-
-
-def decode_operation(schema: Schema, doc: Mapping[str, Any]) -> Operation:
-    kind = doc.get("kind")
-    if kind == "insert":
-        return Insert(schema.new_record(**doc["values"]))
-    if kind == "delete":
-        return Delete(doc["key"])
-    if kind == "update":
-        return Update(doc["key"], dict(doc["changes"]))
-    raise WorkerSpecError(f"unknown operation kind {kind!r}")
-
-
 def encode_answer(answer: Any) -> dict[str, Any]:
     """Flatten a ViewServer answer (tuples, scalar, or degraded) to JSON."""
     degraded = None
@@ -131,36 +129,6 @@ def decode_answer(doc: Mapping[str, Any]) -> tuple[Any, dict[str, Any] | None]:
 # ----------------------------------------------------------------------
 # spec -> server
 # ----------------------------------------------------------------------
-def _predicate_of(doc: Mapping[str, Any] | None) -> Any:
-    if doc is None:
-        return TruePredicate()
-    return IntervalPredicate(
-        doc["field"], doc["lo"], doc["hi"], doc.get("selectivity")
-    )
-
-
-def _definition_of(doc: Mapping[str, Any]) -> Any:
-    kind = doc.get("type")
-    if kind == "select_project":
-        return SelectProjectView(
-            doc["name"], doc["relation"], _predicate_of(doc.get("predicate")),
-            tuple(doc["projection"]), doc["view_key"],
-        )
-    if kind == "aggregate":
-        return AggregateView(
-            doc["name"], doc["relation"], _predicate_of(doc.get("predicate")),
-            doc["aggregate"], doc["field"],
-        )
-    if kind == "join":
-        return JoinView(
-            doc["name"], doc["outer"], doc["inner"], doc["join_field"],
-            _predicate_of(doc.get("predicate")),
-            tuple(doc["outer_projection"]), tuple(doc["inner_projection"]),
-            doc["view_key"],
-        )
-    raise WorkerSpecError(f"unknown view type {kind!r}")
-
-
 def build_server(spec: Mapping[str, Any]) -> ViewServer:
     """Materialize one shard's serving stack from a worker spec.
 
@@ -169,11 +137,11 @@ def build_server(spec: Mapping[str, Any]) -> ViewServer:
     """
     database = Database(buffer_pages=int(spec.get("buffer_pages", 256)))
     for rel in spec.get("relations", ()):
-        schema = Schema(
-            rel["name"], tuple(rel["fields"]), rel["key_field"],
-            tuple_bytes=int(rel.get("tuple_bytes", 100)),
-        )
-        records = [schema.new_record(**values) for values in rel.get("records", ())]
+        schema = decode_schema(rel["schema"])
+        records = [
+            schema.new_record(**decode_fields(doc))
+            for doc in rel.get("records", ())
+        ]
         database.create_relation(
             schema, rel["clustered_on"], kind=rel.get("kind", "hypothetical"),
             records=records, ad_buckets=int(rel.get("ad_buckets", 2)),
@@ -191,7 +159,7 @@ def build_server(spec: Mapping[str, Any]) -> ViewServer:
             if policy_doc else None
         )
         server.register_view(
-            _definition_of(view), Strategy(view["strategy"]),
+            decode_definition(view["definition"]), Strategy(view["strategy"]),
             adaptive=False, policy=policy,
         )
     state_dir = spec.get("state_dir")
@@ -219,10 +187,7 @@ def _logical_records(database: Database, relation_name: str) -> list[Any]:
 def _apply_ops(
     server: ViewServer, relation: str, ops: Any, client: str
 ) -> int:
-    schema = server.database.relations[relation].schema
-    txn = Transaction.of(
-        relation, [decode_operation(schema, doc) for doc in ops]
-    )
+    txn = Transaction.of(relation, [decode_operation(doc) for doc in ops])
     server.apply_update(txn, client=client)
     return len(txn)
 
@@ -275,16 +240,17 @@ def _handle(
         # the records and the epoch cut the same consistent state.
         relations = {
             name: [
-                dict(record.values)
+                encode_fields(record.values)
                 for record in _logical_records(server.database, name)
             ]
             for name in sorted(server.database.relations)
         }
         return {"epoch": state.applied_epoch, "relations": relations}
     if op == "fetch":
+        key = decode_value(request["key"])
         for record in _logical_records(server.database, request["relation"]):
-            if record.key == request["key"]:
-                return {"values": dict(record.values)}
+            if record.key == key:
+                return {"values": encode_fields(record.values)}
         return {"values": None}
     if op == "query":
         answer = server.query(

@@ -1,10 +1,12 @@
 """Wire codec: engine objects <-> JSON-safe dictionaries.
 
 The engine journals *objects* (transactions, schemas, view
-definitions); the WAL and checkpoint files store *JSON lines*.  This
-module owns the mapping in both directions so the engine never imports
-durability code and the durability layer never reaches into engine
-internals beyond public constructors.
+definitions); the WAL and checkpoint files store *JSON lines*, and the
+cluster and gateway ship the same documents in their RPC frames (worker
+specs, shard updates, replication deltas, gateway ``update`` ops).  This
+module is the only mapping between the two, in both directions, so the
+engine never imports durability code and no transport keeps a codec of
+its own.
 
 Every encoded document is tagged (``"t"`` for polymorphic values) so
 decoding is table-driven, and scalars pass through untouched — the
@@ -34,6 +36,8 @@ __all__ = [
     "CodecError",
     "encode_value",
     "decode_value",
+    "encode_fields",
+    "decode_fields",
     "encode_record",
     "decode_record",
     "encode_schema",
@@ -42,6 +46,8 @@ __all__ = [
     "decode_predicate",
     "encode_definition",
     "decode_definition",
+    "encode_operation",
+    "decode_operation",
     "encode_transaction",
     "decode_transaction",
     "encode_event",
@@ -69,7 +75,9 @@ def encode_value(value: Any) -> Any:
 
 
 def decode_value(doc: Any) -> Any:
-    if isinstance(doc, Mapping):
+    # An exact type test, not isinstance(Mapping): encoded containers
+    # are always plain dicts, and this runs once per decoded field.
+    if type(doc) is dict:
         items = [decode_value(v) for v in doc["items"]]
         return tuple(items) if doc.get("t") == "tuple" else items
     return doc
@@ -78,18 +86,21 @@ def decode_value(doc: Any) -> Any:
 # ----------------------------------------------------------------------
 # records and schemas
 # ----------------------------------------------------------------------
+def encode_fields(values: Mapping[str, Any]) -> dict[str, Any]:
+    """A field -> value map: a record's values or an update's changes."""
+    return {f: encode_value(v) for f, v in values.items()}
+
+
+def decode_fields(doc: Mapping[str, Any]) -> dict[str, Any]:
+    return {f: decode_value(v) for f, v in doc.items()}
+
+
 def encode_record(record: Record) -> dict[str, Any]:
-    return {
-        "key": encode_value(record.key),
-        "values": {f: encode_value(v) for f, v in record.values.items()},
-    }
+    return {"key": encode_value(record.key), "values": encode_fields(record.values)}
 
 
 def decode_record(doc: Mapping[str, Any]) -> Record:
-    return Record(
-        decode_value(doc["key"]),
-        {f: decode_value(v) for f, v in doc["values"].items()},
-    )
+    return Record(decode_value(doc["key"]), decode_fields(doc["values"]))
 
 
 def encode_schema(schema: Schema) -> dict[str, Any]:
@@ -240,45 +251,46 @@ def decode_definition(
 # ----------------------------------------------------------------------
 # transactions
 # ----------------------------------------------------------------------
-def _encode_operation(op: Operation) -> dict[str, Any]:
+def encode_operation(op: Operation) -> dict[str, Any]:
+    """One operation doc: the WAL, shard RPC, delta and gateway shape."""
     if isinstance(op, Insert):
-        return {"op": "insert", "record": encode_record(op.record)}
+        return {"kind": "insert", "record": encode_record(op.record)}
     if isinstance(op, Delete):
-        return {"op": "delete", "key": encode_value(op.key)}
+        return {"kind": "delete", "key": encode_value(op.key)}
     if isinstance(op, Update):
         return {
-            "op": "update",
+            "kind": "update",
             "key": encode_value(op.key),
-            "changes": {f: encode_value(v) for f, v in op.changes.items()},
+            "changes": encode_fields(op.changes),
         }
     raise CodecError(f"cannot encode operation type {type(op).__name__}")
 
 
-def _decode_operation(doc: Mapping[str, Any]) -> Operation:
-    kind = doc.get("op")
-    if kind == "insert":
-        return Insert(decode_record(doc["record"]))
-    if kind == "delete":
-        return Delete(decode_value(doc["key"]))
-    if kind == "update":
-        return Update(
-            decode_value(doc["key"]),
-            {f: decode_value(v) for f, v in doc["changes"].items()},
-        )
+def decode_operation(doc: Mapping[str, Any]) -> Operation:
+    kind = doc.get("kind")
+    try:
+        if kind == "insert":
+            return Insert(decode_record(doc["record"]))
+        if kind == "delete":
+            return Delete(decode_value(doc["key"]))
+        if kind == "update":
+            return Update(decode_value(doc["key"]), decode_fields(doc["changes"]))
+    except KeyError as exc:
+        raise CodecError(f"{kind} operation doc lacks {exc.args[0]!r}") from exc
     raise CodecError(f"unknown operation kind {kind!r}")
 
 
 def encode_transaction(txn: Transaction) -> dict[str, Any]:
     return {
         "relation": txn.relation,
-        "operations": [_encode_operation(op) for op in txn.operations],
+        "operations": [encode_operation(op) for op in txn.operations],
     }
 
 
 def decode_transaction(doc: Mapping[str, Any]) -> Transaction:
     return Transaction(
         relation=doc["relation"],
-        operations=tuple(_decode_operation(op) for op in doc["operations"]),
+        operations=tuple(decode_operation(op) for op in doc["operations"]),
     )
 
 

@@ -366,6 +366,11 @@ class Database:
         relation = self.relations.get(txn.relation)
         if relation is None:
             raise CatalogError(f"unknown relation {txn.relation!r}")
+        # Inserts may arrive decoded off the wire: reject a malformed
+        # record before it reaches the log, the pages or any view.
+        for op in txn.operations:
+            if isinstance(op, Insert):
+                relation.schema.check(op.record)
         # Write-ahead: journal before touching any page, so a crash
         # mid-transaction replays the whole batch from the log.
         self._journal("txn", txn=txn)

@@ -36,7 +36,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.cluster.worker import decode_operation, encode_answer
+from repro.cluster.worker import encode_answer
+from repro.durability.codec import decode_operation
 from repro.engine.transaction import Transaction
 from repro.service.metrics import MetricsRegistry
 from .admission import (
@@ -110,10 +111,7 @@ class ViewServerBackend:
         self, relation: str, ops: list[Mapping[str, Any]], client: str,
         timeout: float | None = None,
     ) -> int:
-        schema = self.server.database.relations[relation].schema
-        txn = Transaction.of(
-            relation, [decode_operation(schema, doc) for doc in ops]
-        )
+        txn = Transaction.of(relation, [decode_operation(doc) for doc in ops])
         self.server.apply_update(txn, client=client)
         return len(txn)
 
@@ -126,14 +124,10 @@ class ClusterBackend:
 
     The remaining deadline budget becomes the router's per-call RPC
     timeout, so a gateway deadline bounds every shard leg too.
-    ``schemas`` is only needed for ``insert`` operations (a record must
-    be built against its schema before routing); updates and deletes
-    carry their own keys.
     """
 
-    def __init__(self, router: Any, schemas: Mapping[str, Any] | None = None) -> None:
+    def __init__(self, router: Any) -> None:
         self.router = router
-        self.schemas = dict(schemas or {})
 
     def views(self) -> tuple[str, ...]:
         return tuple(self.router.views())
@@ -152,16 +146,7 @@ class ClusterBackend:
         self, relation: str, ops: list[Mapping[str, Any]], client: str,
         timeout: float | None = None,
     ) -> int:
-        schema = self.schemas.get(relation)
-        operations = []
-        for doc in ops:
-            if doc.get("kind") == "insert" and schema is None:
-                raise GatewayError(
-                    f"insert into {relation!r} needs a schema; give the "
-                    "ClusterBackend a schemas mapping"
-                )
-            operations.append(decode_operation(schema, doc))
-        txn = Transaction.of(relation, operations)
+        txn = Transaction.of(relation, [decode_operation(doc) for doc in ops])
         # The remaining deadline budget bounds every shard leg of the
         # write fan-out, exactly as it already does for queries.
         self.router.apply_update(txn, client=client, timeout=timeout)

@@ -147,7 +147,7 @@ class _DeferredBase(MaintenanceStrategy):
         """
         if self.screen.transaction_is_riu(txn.written_fields()):
             return
-        for record in self.screen.screen_many(list(delta.inserted) + list(delta.deleted)):
+        for record in self.screen.screen_batch(list(delta.inserted) + list(delta.deleted)):
             self._markers.add(record)
 
     def join_coordinator(self, coordinator: DeferredCoordinator) -> None:

@@ -56,8 +56,8 @@ class _ImmediateBase(MaintenanceStrategy):
         """
         if self.screen.transaction_is_riu(txn.written_fields()):
             return None
-        marked_ins = self.screen.screen_many(delta.inserted)
-        marked_del = self.screen.screen_many(delta.deleted)
+        marked_ins = self.screen.screen_batch(delta.inserted)
+        marked_del = self.screen.screen_batch(delta.deleted)
         self.relation.meter.record_ad_op(len(marked_ins) + len(marked_del))
         return marked_ins, marked_del
 

@@ -186,10 +186,6 @@ class TwoStageScreen:
         self.stats.stage2_rejected += tested - len(passed.indices)
         return batch.take(passed)
 
-    def screen_many(self, records: Iterable[Record]) -> list[Record]:
-        """Screen a batch, returning the marked tuples (batch-native)."""
-        return self.screen_batch(records)
-
     def transaction_is_riu(self, written_fields: Iterable[str]) -> bool:
         """Compile-time RIU check for a whole command.
 

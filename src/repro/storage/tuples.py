@@ -60,6 +60,13 @@ class Schema:
             )
         return Record(values[self.key_field], values)
 
+    def check(self, record: "Record") -> None:
+        """Raise :class:`SchemaError` unless :meth:`new_record` builds ``record``."""
+        if self.new_record(**record.values).key != record.key:
+            raise SchemaError(
+                f"record key {record.key!r} is not its {self.key_field!r} value"
+            )
+
     def project(self, record: "Record", fields: Iterable[str]) -> Mapping[str, Any]:
         """Project a record to a subset of fields."""
         wanted = tuple(fields)

@@ -29,6 +29,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
+from repro.durability.codec import encode_operation
+from repro.engine.transaction import Update
 from repro.gateway.client import AsyncGatewayClient, GatewayCallError
 
 __all__ = [
@@ -246,11 +248,9 @@ def demo_request_factory(
                 {"op": "query", "view": total_view, "lo": None, "hi": None},
                 total_validator,
             )
-        ops = [{
-            "kind": "update",
-            "key": rng.randrange(key_count),
-            "changes": {"v": rng.randrange(10_000)},
-        }]
+        ops = [encode_operation(
+            Update(rng.randrange(key_count), {"v": rng.randrange(10_000)})
+        )]
         return (
             {"op": "update", "relation": relation, "ops": ops},
             update_validator(len(ops)),
@@ -388,7 +388,8 @@ async def run_closed_loop_async(
     deadline = start + duration_s
 
     async def worker(name: str) -> None:
-        rng = random.Random(seed + hash(name) % 1000)
+        # str seeds hash stably (SHA-512), unlike hash(name).
+        rng = random.Random(f"{seed}/{name}")
         conn = conns[name]
         while time.monotonic() < deadline:
             doc, validator = factory(rng)

@@ -15,6 +15,7 @@ from repro.cluster.harness import (
 )
 from repro.cluster.replication import ReplicationConfig
 from repro.cluster.rpc import ShardTimeout
+from repro.durability.codec import decode_fields
 from repro.engine.transaction import Transaction, Update
 from repro.resilience.degradation import DegradedResult
 
@@ -45,7 +46,8 @@ def wait_until(predicate, timeout=20.0, step=0.02):
 
 
 def demo_records(n_records=N_RECORDS, seed=17):
-    return demo_spec(n_records=n_records, seed=seed)["relations"][0]["records"]
+    docs = demo_spec(n_records=n_records, seed=seed)["relations"][0]["records"]
+    return [decode_fields(doc) for doc in docs]
 
 
 def keys_on_shard(router, shard, n_records=N_RECORDS):

@@ -14,6 +14,14 @@ from repro.cluster.harness import (
 )
 from repro.cluster.router import ClusterClosedError, ClusterError, ClusterRouter
 from repro.cluster.rpc import ShardUnavailable
+from repro.durability.codec import (
+    decode_definition,
+    decode_fields,
+    decode_schema,
+    encode_definition,
+    encode_fields,
+    encode_schema,
+)
 from repro.engine.transaction import Insert, Transaction, Update
 from repro.resilience.degradation import DegradedResult
 from repro.storage.tuples import Schema
@@ -33,12 +41,8 @@ def router():
 
 
 def expected_records(n_records=N_RECORDS, seed=17):
-    return {
-        values["id"]: values
-        for values in demo_spec(n_records=n_records, seed=seed)["relations"][0][
-            "records"
-        ]
-    }
+    docs = demo_spec(n_records=n_records, seed=seed)["relations"][0]["records"]
+    return {values["id"]: values for values in map(decode_fields, docs)}
 
 
 class TestQueryRouting:
@@ -78,7 +82,7 @@ class TestQueryRouting:
 
     def test_unsupported_aggregate_rejected_at_launch(self):
         spec = demo_spec(n_records=8)
-        spec["views"][1]["aggregate"] = "avg"
+        spec["views"][1]["definition"]["aggregate"] = "avg"
         with pytest.raises(ClusterError, match="avg"):
             ClusterRouter.launch(spec, demo_shard_map(2))
 
@@ -387,3 +391,15 @@ class TestTrafficHarness:
             finally:
                 router.close()
         assert finals[1] == finals[2]
+
+
+def test_demo_spec_is_made_of_codec_documents():
+    spec = demo_spec(n_records=16)
+    (rel,) = spec["relations"]
+    schema = decode_schema(rel["schema"])
+    assert encode_schema(schema) == rel["schema"]
+    for doc in rel["records"]:
+        record = schema.new_record(**decode_fields(doc))
+        assert encode_fields(record.values) == doc
+    for view in spec["views"]:
+        assert encode_definition(decode_definition(view["definition"])) == view["definition"]

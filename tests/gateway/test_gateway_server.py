@@ -21,8 +21,12 @@ from repro.gateway import (
     GatewayHandle,
     ViewServerBackend,
 )
+from repro.durability import DurabilityManager
+from repro.durability.codec import encode_operation
+from repro.engine.transaction import Insert
 from repro.service.metrics import validate_metrics
 from repro.service.traffic import demo_server
+from repro.storage.tuples import Record
 
 
 class StubBackend:
@@ -361,6 +365,43 @@ class TestRealBackends:
             rows, _ = tuples.answer()
             assert all(0 <= vt.values["a"] <= 20 for vt in rows)
 
+    def test_malformed_inserts_are_refused_before_the_wal(self, tmp_path):
+        demo = demo_server(n_tuples=300, seed=7)
+        manager = DurabilityManager(tmp_path)
+        manager.attach(demo.server.database)
+        relation = demo.server.database.relations["r"]
+        malformed = [
+            # a field missing
+            {"kind": "insert", "record": {"key": 5000,
+                                          "values": {"id": 5000, "a": 5}}},
+            # the key is not the key field's value
+            {"kind": "insert", "record": {"key": 5001,
+                                          "values": {"id": 5002, "a": 5,
+                                                     "v": 1}}},
+        ]
+        backend = ViewServerBackend(demo.server)
+        try:
+            with GatewayHandle.launch(backend, GatewayConfig()) as handle:
+                before = sorted(r.key for r in relation.logical_snapshot())
+                wal_before = manager.stats()
+                for doc in malformed:
+                    reply = call(handle, {"op": "update", "relation": "r",
+                                          "ops": [doc]})
+                    assert not reply.ok and reply.kind == "SchemaError"
+                # The v1 insert shape is a protocol error, not a KeyError.
+                reply = call(handle, {"op": "update", "relation": "r",
+                                      "ops": [{"kind": "insert", "values": {
+                                          "id": 5003, "a": 5, "v": 1}}]})
+                assert not reply.ok and reply.kind == "CodecError"
+                assert "'record'" in reply.error
+                after = sorted(r.key for r in relation.logical_snapshot())
+                assert after == before
+                assert manager.stats()["wal_bytes"] == wal_before["wal_bytes"]
+                assert (manager.stats()["wal_records"]
+                        == wal_before["wal_records"])
+        finally:
+            manager.close()
+
     def test_cluster_backend_over_the_wire(self):
         harness = pytest.importorskip("repro.cluster.harness")
         from repro.gateway import ClusterBackend
@@ -384,6 +425,32 @@ class TestRealBackends:
                              "changes": {"v": 77}}],
                 })
                 assert update.ok and update.result == {"applied": 1}
+
+                # An insert doc carries its whole record: no schema needed.
+                before = router.query("total", None, None, client="direct")
+                record = Record(1000, {"id": 1000, "a": 5, "v": 9})
+                insert = call(handle, {
+                    "op": "update", "relation": "r",
+                    "ops": [encode_operation(Insert(record))],
+                })
+                assert insert.ok and insert.result == {"applied": 1}
+                after = router.query("total", None, None, client="direct")
+                assert after == before + 9
+
+                # Malformed inserts are refused by the router or by the
+                # owning shard's engine, and change nothing.
+                for doc in (
+                    {"kind": "insert", "record": {
+                        "key": 1001, "values": {"id": 1002, "a": 5, "v": 9}}},
+                    {"kind": "insert", "record": {
+                        "key": 1003, "values": {"id": 1003, "v": 9}}},
+                ):
+                    reply = call(handle, {"op": "update", "relation": "r",
+                                          "ops": [doc]})
+                    assert not reply.ok
+                    assert "SchemaError" in f"{reply.kind}: {reply.error}"
+                assert router.query("total", None, None,
+                                    client="direct") == after
         finally:
             router.close()
 

@@ -77,10 +77,10 @@ class TestTwoStageScreen:
         assert meter.screens == 1
         assert screen.stats.stage2_rejected == 1
 
-    def test_screen_many_returns_marked(self):
+    def test_screen_batch_returns_marked(self):
         screen = TwoStageScreen(IntervalPredicate("a", 0, 9), CostMeter())
         records = [rec(a=5, i=1), rec(a=50, i=2), rec(a=7, i=3)]
-        assert [r.key for r in screen.screen_many(records)] == [1, 3]
+        assert [r.key for r in screen.screen_batch(records)] == [1, 3]
 
     def test_riu_with_definition_fields(self):
         screen = TwoStageScreen(

@@ -163,3 +163,54 @@ class TestAgainstLiveGateway:
             report.outcomes.get("error", 0) + report.outcomes.get("lost", 0)
         assert report.goodput() > 0
         assert not report.wrong
+
+
+#: Runs one short closed loop and prints each client's first requests.
+_CLOSED_LOOP_PROBE = """
+import json
+from repro.gateway import GatewayHandle, ViewServerBackend
+from repro.service.traffic import demo_server
+from repro.workload.clients import demo_request_factory, run_closed_loop
+
+issued = []
+inner = demo_request_factory(key_count=400)
+
+def factory(rng):
+    doc, validator = inner(rng)
+    issued.append(doc)  # the loop stamps doc["client"] after this returns
+    return doc, validator
+
+handle = GatewayHandle.launch(ViewServerBackend(demo_server(n_tuples=400, seed=7).server))
+try:
+    run_closed_loop("127.0.0.1", handle.port, factory, concurrency=3,
+                    duration_s=0.3, seed=29)
+finally:
+    handle.stop()
+streams = {}
+for doc in issued:
+    streams.setdefault(doc.pop("client"), []).append(doc)
+print(json.dumps({name: docs[:4] for name, docs in sorted(streams.items())}))
+"""
+
+
+def test_closed_loop_streams_do_not_depend_on_the_hash_seed():
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[2] / "src")
+
+    def streams(hash_seed):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", _CLOSED_LOOP_PROBE], env=env,
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        return json.loads(out.strip().splitlines()[-1])
+
+    first, second = streams("1"), streams("2")
+    assert sorted(first) == ["probe00", "probe01", "probe02"]
+    assert all(len(docs) == 4 for docs in first.values())
+    assert first == second
