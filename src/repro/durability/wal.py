@@ -86,6 +86,14 @@ class WriteAheadLog:
             self._truncate_torn_tail(self.segment_path(self._epoch))
         else:
             self._epoch = 1
+        #: Live segment number -> its size in bytes, including frames
+        #: still buffered in the append handle.  Seeded once here and
+        #: kept by append/rotate/truncate_through, so the gauge
+        #: :meth:`wal_bytes` needs no flush and no syscall.
+        self._segment_bytes = {
+            number: self.segment_path(number).stat().st_size
+            for number in existing[:-1]
+        }
         self._open_segment(self._epoch)
 
     # ------------------------------------------------------------------
@@ -126,19 +134,17 @@ class WriteAheadLog:
         for number in self.segment_numbers():
             if number < epoch and number != self._epoch:
                 self.segment_path(number).unlink(missing_ok=True)
+                self._segment_bytes.pop(number, None)
                 removed += 1
         return removed
 
     def wal_bytes(self) -> int:
-        """Total bytes across all live segments (durability gauge)."""
-        self.flush()
-        total = 0
-        for number in self.segment_numbers():
-            try:
-                total += self.segment_path(number).stat().st_size
-            except FileNotFoundError:
-                pass
-        return total
+        """Total bytes across all live segments (durability gauge).
+
+        A pure read of the tracked sizes: it equals the on-disk total
+        once buffered frames are flushed.
+        """
+        return sum(self._segment_bytes.values())
 
     # ------------------------------------------------------------------
     # appending
@@ -159,6 +165,7 @@ class WriteAheadLog:
         self._fh.write(frame)
         self.records_appended += 1
         self.bytes_appended += len(frame)
+        self._segment_bytes[self._epoch] += len(frame)
         self._unsynced += 1
         if self._unsynced >= self.fsync_every:
             self.sync()
@@ -231,6 +238,7 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     def _open_segment(self, number: int) -> None:
         self._fh = open(self.segment_path(number), "ab")
+        self._segment_bytes[number] = self._fh.tell()
         self._unsynced = 0
 
     def _truncate_torn_tail(self, path: Path) -> None:

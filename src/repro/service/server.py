@@ -1147,19 +1147,23 @@ class ViewServer:
         }
 
     def _update_durability_gauges(self) -> None:
+        """Export the WAL gauges: in-memory counters, no flush or syscall."""
         if self.durability is None:
             return
-        stats = self.durability.stats()
-        self.metrics.gauge("wal_bytes").set(stats["wal_bytes"])
-        self.metrics.gauge("wal_records").set(stats["wal_records"])
-        self.metrics.gauge("wal_fsyncs").set(stats["wal_fsyncs"])
+        wal = self.durability.wal
+        self.metrics.gauge("wal_bytes").set(wal.wal_bytes())
+        self.metrics.gauge("wal_records").set(wal.records_appended)
+        self.metrics.gauge("wal_fsyncs").set(wal.fsyncs)
 
     def _note_durability_op(self) -> None:
         """Per-request durability tick: cadence checkpointing + gauges."""
         if self.durability is None:
             return
         self.scheduler.note_operation()
-        if self.scheduler.should_checkpoint():
+        # Known base/differential damage waits for WAL recovery first: a
+        # checkpoint now would publish the damaged state as the recovery
+        # point, leaving no log behind it to repair from.
+        if self.scheduler.should_checkpoint() and not self._needs_recovery:
             try:
                 self.checkpoint()
             except DEGRADABLE_ERRORS:

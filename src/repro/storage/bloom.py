@@ -130,15 +130,13 @@ class BloomFilter:
 
     def clear(self) -> None:
         """Reset to empty (used when the differential file is folded in)."""
-        for i in range(len(self._array)):
-            self._array[i] = 0
+        self._array[:] = bytes(len(self._array))
         self.items_added = 0
 
     @property
     def fill_fraction(self) -> float:
         """Fraction of bits set (load indicator)."""
-        set_bits = sum(bin(byte).count("1") for byte in self._array)
-        return set_bits / self.bits
+        return int.from_bytes(self._array, "little").bit_count() / self.bits
 
     def estimated_fp_rate(self) -> float:
         """Expected false-positive rate at the current load.

@@ -43,8 +43,8 @@ class PageChecksumError(RuntimeError):
     """A page image read from disk does not match its stored checksum.
 
     Raised by :meth:`SimulatedDisk.read` when ``verify_reads`` is on and
-    the at-rest image has diverged from the checksum recorded at write
-    time — the simulated equivalent of detecting bit-rot or a torn
+    the at-rest image has diverged from the checksum of the image last
+    written — the simulated equivalent of detecting bit-rot or a torn
     write via a page-header CRC.
     """
 
@@ -302,15 +302,27 @@ class SimulatedDisk:
     *clone* so in-memory mutation without a write-back is visible as a
     bug (lost update) rather than silently persisted — the same
     discipline a real page cache enforces.
+
+    Checksums are pinned lazily.  ``write``/``allocate`` leave a page's
+    checksum pending; it is computed from the stored image the first
+    time something needs it — a verified read, :meth:`verify`, or
+    :meth:`corrupt` just before it damages the image.  A stored image
+    changes only through a write (which re-arms the pending state) or
+    through injected damage (which pins first), so a checksum pinned
+    late equals the one an eager write would have recorded.
     """
 
     def __init__(self, meter: CostMeter | None = None) -> None:
         self.meter = meter if meter is not None else CostMeter()
         self._pages: dict[PageId, Page] = {}
+        #: Pinned checksums; an allocated page absent here is pending.
         self._checksums: dict[PageId, int] = {}
+        #: file -> its page ids in allocation (= page number) order;
+        #: a file whose pages were all freed keeps an empty entry.
+        self._files: dict[str, dict[PageId, None]] = {}
         self._next_number: dict[str, Iterator[int]] = {}
-        #: When true, every :meth:`read` recomputes the page checksum
-        #: and raises :class:`PageChecksumError` on a mismatch.  Off by
+        #: When true, every :meth:`read` verifies the page checksum and
+        #: raises :class:`PageChecksumError` on a mismatch.  Off by
         #: default: the clean substrate cannot rot, so the paper's cost
         #: experiments skip the (pure-CPU) verification.
         self.verify_reads = False
@@ -320,14 +332,13 @@ class SimulatedDisk:
 
     def page_count(self, file: str) -> int:
         """Number of allocated pages in one file."""
-        # list() snapshots the keys atomically (single bytecode under
-        # the GIL); bare iteration races concurrent allocate() calls
-        # with "dictionary changed size during iteration".
-        return sum(1 for pid in list(self._pages) if pid.file == file)
+        return len(self._files.get(file, ()))
 
     def files(self) -> list[str]:
         """Every file name with at least one allocated page, sorted."""
-        return sorted({pid.file for pid in list(self._pages)})
+        # list() snapshots the items atomically under the GIL; bare
+        # iteration races a concurrent allocate() of a new file.
+        return sorted(file for file, pids in list(self._files.items()) if pids)
 
     def allocate(self, file: str, capacity: int) -> Page:
         """Allocate a fresh page in ``file`` (no I/O is charged)."""
@@ -335,14 +346,14 @@ class SimulatedDisk:
         page_id = PageId(file, next(counter))
         page = Page(page_id, capacity)
         self._pages[page_id] = page
-        self._checksums[page_id] = page_checksum(page)
+        self._files.setdefault(file, {})[page_id] = None
         return page.clone()
 
     def read(self, page_id: PageId) -> Page:
         """Fetch a page image from disk, charging one read.
 
         With ``verify_reads`` enabled the stored image is checked
-        against its write-time checksum first; damaged pages raise
+        against its checksum first; damaged pages raise
         :class:`PageChecksumError` instead of silently serving rot.
         """
         try:
@@ -350,29 +361,28 @@ class SimulatedDisk:
         except KeyError:
             raise KeyError(f"no such page: {page_id}") from None
         self.meter.record_read()
-        if self.verify_reads and page_checksum(stored) != self._checksums[page_id]:
+        if self.verify_reads and not self._intact(page_id):
             raise PageChecksumError(page_id)
         return stored.clone()
 
     def write(self, page: Page) -> None:
         """Persist a page image, charging one write."""
-        if page.page_id not in self._pages:
-            raise KeyError(f"cannot write unallocated page: {page.page_id}")
+        page_id = page.page_id
+        if page_id not in self._pages:
+            raise KeyError(f"cannot write unallocated page: {page_id}")
         self.meter.record_write()
-        stored = page.clone()
-        self._pages[page.page_id] = stored
-        self._checksums[page.page_id] = page_checksum(stored)
+        self._pages[page_id] = page.clone()
+        self._checksums.pop(page_id, None)
 
     def free(self, page_id: PageId) -> None:
         """Deallocate a page (no I/O charged, mirroring the paper)."""
         self._pages.pop(page_id, None)
         self._checksums.pop(page_id, None)
+        self._files.get(page_id.file, {}).pop(page_id, None)
 
     def file_pages(self, file: str) -> list[PageId]:
         """All page ids of a file, in allocation order."""
-        pids = [pid for pid in list(self._pages) if pid.file == file]
-        pids.sort(key=lambda pid: pid.number)
-        return pids
+        return list(self._files.get(file, ()))
 
     def verify(self, page_id: PageId) -> str | None:
         """Check one page's at-rest integrity without raising.
@@ -383,13 +393,10 @@ class SimulatedDisk:
         never raises, so an integrity scrub can keep walking past
         damaged pages and report them all.
         """
-        stored = self._pages.get(page_id)
-        if stored is None:
+        if page_id not in self._pages:
             return "missing"
         self.meter.record_read()
-        if page_checksum(stored) != self._checksums[page_id]:
-            return "checksum mismatch"
-        return None
+        return None if self._intact(page_id) else "checksum mismatch"
 
     def corrupt(self, page_id: PageId, *, drop_records: int = 1) -> str | None:
         """Damage the stored image *in place* without updating its checksum.
@@ -401,9 +408,7 @@ class SimulatedDisk:
         injection counters stay honest).
         """
         stored = self._pages.get(page_id)
-        if stored is None:
-            return None
-        if page_checksum(stored) != self._checksums[page_id]:
+        if stored is None or not self._intact(page_id):
             return None
         if stored.records:
             dropped = min(max(drop_records, 1), len(stored.records))
@@ -411,6 +416,19 @@ class SimulatedDisk:
             return f"dropped {dropped} record(s)"
         stored.next_page = PageId(page_id.file, page_id.number + 1_000_003)
         return "scrambled successor link"
+
+    def _intact(self, page_id: PageId) -> bool:
+        """Whether the stored image matches its checksum.
+
+        A pending checksum is pinned from the stored image here, and so
+        matches: the image is still the one last written.
+        """
+        stored = self._pages[page_id]
+        pinned = self._checksums.get(page_id)
+        if pinned is None:
+            self._checksums[page_id] = page_checksum(stored)
+            return True
+        return page_checksum(stored) == pinned
 
 
 class BufferPool:

@@ -142,7 +142,7 @@ class Record:
         return self._values.get(field, default)
 
     @property
-    def values(self) -> Mapping[str, Any]:
+    def values(self) -> "MappingProxyType[str, Any]":
         return self._values
 
     def __eq__(self, other: object) -> bool:

@@ -48,6 +48,19 @@ class ViewTuple:
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_identity", None)
 
+    @classmethod
+    def _adopt(cls, values: dict[str, Any]) -> "ViewTuple":
+        """Wrap a dict the caller just built and hands over, without copying it.
+
+        The stored-view read path builds one fresh dict per answer row;
+        the plain constructor would copy it a second time.
+        """
+        self = _new(cls)
+        _set_values(self, values)
+        _set_hash(self, None)
+        _set_identity(self, None)
+        return self
+
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("ViewTuple is immutable")
 
@@ -81,6 +94,14 @@ class ViewTuple:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self.values.items()))
         return f"ViewTuple({inner})"
+
+
+# Slot setters bound once: ``_adopt`` runs per answer row, and these
+# skip the attribute lookup that ``object.__setattr__`` pays per call.
+_new = object.__new__
+_set_values = ViewTuple.values.__set__
+_set_hash = ViewTuple._hash.__set__
+_set_identity = ViewTuple._identity.__set__
 
 
 @dataclass(frozen=True)

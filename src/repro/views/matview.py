@@ -31,6 +31,13 @@ class DuplicateCountError(RuntimeError):
     """A deletion arrived for a view tuple that is not stored."""
 
 
+def _unpack(record: Record) -> tuple[ViewTuple, int]:
+    """A stored record's view tuple and duplicate count, copying its values once."""
+    values = record.values.copy()
+    dup = values.pop(_DUP_FIELD)
+    return ViewTuple._adopt(values), dup
+
+
 class MaterializedView:
     """Duplicate-counted stored copy of a select-project or join view."""
 
@@ -159,8 +166,8 @@ class MaterializedView:
     def scan_range(self, lo: Any, hi: Any) -> Iterator[ViewTuple]:
         """View tuples with ``lo <= view_key <= hi``, duplicates expanded."""
         for record in self._tree.range_scan(lo, hi):
-            vt = self._view_tuple(record)
-            for _ in range(record[_DUP_FIELD]):
+            vt, dup = _unpack(record)
+            for _ in range(dup):
                 yield vt
 
     def read_range(self, lo: Any, hi: Any) -> list[ViewTuple]:
@@ -174,8 +181,7 @@ class MaterializedView:
         out: list[ViewTuple] = []
         for records in self._tree.range_batches(lo, hi):
             for record in records:
-                vt = self._view_tuple(record)
-                dup = record[_DUP_FIELD]
+                vt, dup = _unpack(record)
                 if dup == 1:
                     out.append(vt)
                 else:
@@ -185,8 +191,8 @@ class MaterializedView:
     def scan_all(self) -> Iterator[ViewTuple]:
         """Every stored view tuple, duplicates expanded."""
         for record in self._tree.scan_all():
-            vt = self._view_tuple(record)
-            for _ in range(record[_DUP_FIELD]):
+            vt, dup = _unpack(record)
+            for _ in range(dup):
                 yield vt
 
     def distinct_count(self) -> int:
@@ -213,10 +219,6 @@ class MaterializedView:
     @staticmethod
     def _record(vt: ViewTuple, dup: int) -> Record:
         return Record(vt.identity(), {**vt.values, _DUP_FIELD: dup})
-
-    def _view_tuple(self, record: Record) -> ViewTuple:
-        values = {k: v for k, v in record.values.items() if k != _DUP_FIELD}
-        return ViewTuple(values)
 
     def _find(self, vt: ViewTuple) -> Record | None:
         sort_value = vt[self.view_key]

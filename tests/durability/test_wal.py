@@ -142,3 +142,48 @@ class TestFsyncBatching:
         on_disk = wal.wal_bytes()
         assert on_disk == wal.bytes_appended > 0
         wal.close()
+
+
+class TestWalBytesGauge:
+    """wal_bytes() is a pure read of sizes tracked in memory."""
+
+    @staticmethod
+    def _sizes(wal):
+        return {n: wal.segment_path(n).stat().st_size for n in wal.segment_numbers()}
+
+    def _check(self, wal):
+        before = self._sizes(wal)
+        gauge = wal.wal_bytes()
+        assert self._sizes(wal) == before  # the read flushed nothing
+        wal.flush()
+        assert gauge == sum(self._sizes(wal).values())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_on_disk_segments_across_a_seeded_lifecycle(self, tmp_path, seed):
+        import random
+
+        rng = random.Random(seed)
+        wal = WriteAheadLog(tmp_path, fsync_every=rng.choice([1, 4, 64]))
+        self._check(wal)
+        for step in range(60):
+            roll = rng.random()
+            if roll < 0.7:
+                pad = "x" * rng.randrange(40)
+                wal.append({"event": "txn", "payload": {"i": step, "pad": pad}})
+            elif roll < 0.8:
+                wal.rotate()
+            elif roll < 0.9:
+                wal.truncate_through(wal.epoch - rng.randrange(2))
+            else:
+                # Crash mid-append: a torn frame on the active segment,
+                # then a reopen that cuts it away.
+                wal.flush()
+                wal._fh.write(FRAME_HEADER.pack(4096, 0) + b"torn")
+                wal._fh.close()
+                wal = WriteAheadLog(tmp_path, fsync_every=wal.fsync_every)
+                assert wal.torn_tail_truncations == 1
+            self._check(wal)
+        wal.close()
+        reopened = WriteAheadLog(tmp_path)
+        assert reopened.wal_bytes() == sum(self._sizes(wal).values())
+        reopened.close()

@@ -44,6 +44,38 @@ class TestChaosCell:
         assert resilient.availability >= 0.99
         assert check_acceptance((oracle, baseline, resilient)) == []
 
+    def test_torn_deferred_cell_recovers_from_a_pre_damage_checkpoint(self):
+        """Torn base pages found while a cadence checkpoint falls due.
+
+        The checkpoint must wait for WAL recovery; taken first, it became
+        the recovery point and baked the half-folded base in, so the
+        resilient arm served wrong answers.  Which pages tear depends on
+        set order, so the cell runs under a fixed hash seed that hit it.
+        """
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        script = (
+            "import json\n"
+            "from repro.core.strategies import Strategy\n"
+            "from repro.experiments.resilience import run_resilience_cell\n"
+            "cell = run_resilience_cell('torn', Strategy.DEFERRED)\n"
+            "print(json.dumps([[r.arm, r.wrong, r.availability] for r in cell]))\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="0",
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        runs = {arm: (wrong, availability)
+                for arm, wrong, availability in json.loads(out.stdout)}
+        assert runs["resilient"][0] == 0
+        assert runs["resilient"][1] >= 0.99
+
 
 class TestAcceptance:
     def test_clean_matrix_passes(self):

@@ -126,6 +126,25 @@ class TestFaultClasses:
             disk.read(ids[0])
         assert disk.verify(ids[0]) == "checksum mismatch"
 
+    def test_torn_write_over_a_pending_checksum_is_caught_by_scrub(self):
+        """The torn write pins its intended checksum eagerly, even though
+        the pages it lands among still have lazily pending checksums."""
+        from repro.resilience.scrub import scrub_disk
+
+        profile = FaultProfile(name="torn", rates=FaultRates(torn_write=1.0))
+        disk, ids = make_disk(profile, records=4)
+        disk.arm()
+        page = disk.read(ids[1])
+        page.records = [("new", i) for i in range(4)]
+        disk.write(page)
+        disk.disarm()
+        report = scrub_disk(disk)
+        assert report.pages_scanned == len(ids)
+        assert [d.page for d in report.damage] == [str(ids[1])]
+        assert report.damage[0].error == "checksum mismatch"
+        disk.write(page)  # a clean re-write heals the torn page
+        assert scrub_disk(disk).ok
+
     def test_bit_flip_is_caught_only_by_verified_reads(self):
         profile = FaultProfile(name="rot", rates=FaultRates(bit_flip=1.0))
         disk, ids = make_disk(profile)

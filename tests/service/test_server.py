@@ -268,6 +268,32 @@ class TestShutdown:
             manager.wal.append({"op": "x"})
         server.shutdown()  # and the server is safely re-shutdown-able
 
+    def test_request_gauges_neither_flush_nor_read_the_state_dir(
+        self, tmp_path, monkeypatch
+    ):
+        """Per-request WAL gauges come from in-memory counters."""
+        from repro.durability.manager import DurabilityManager
+        from repro.durability.wal import WriteAheadLog
+
+        server = make_server()
+        manager = self.arm(server, tmp_path)
+        flushes = []
+        monkeypatch.setattr(WriteAheadLog, "flush", lambda wal: flushes.append(wal))
+
+        def no_stats(self):
+            raise AssertionError("stats() on the request path")
+
+        monkeypatch.setattr(DurabilityManager, "stats", no_stats)
+        for key in range(5):
+            server.apply_update(Transaction("r", (Update(key, {"v": 1}),)))
+            server.query("v_total")
+        assert flushes == []
+        wal = manager.wal
+        assert server.metrics.gauge("wal_records").value == wal.records_appended
+        assert server.metrics.gauge("wal_bytes").value == wal.wal_bytes() > 0
+        monkeypatch.undo()
+        server.shutdown()
+
 
 class TestStaleness:
     """staleness() must bound divergence by the pending differential."""

@@ -154,6 +154,28 @@ class TestSerialization:
             BloomFilter.from_dict(doc)
 
 
+class TestBitBookkeeping:
+    """fill_fraction and clear() work on the whole array at once."""
+
+    @given(
+        bits=st.integers(min_value=1, max_value=2_000),
+        items=st.lists(st.integers(), max_size=200),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fill_fraction_and_clear_match_a_per_byte_reference(self, bits, items):
+        bf = BloomFilter(bits, hashes=3)
+        for item in items:
+            bf.add(item)
+        reference = sum(bin(byte).count("1") for byte in bf._array) / bits
+        assert bf.fill_fraction == reference
+        doc = bf.to_dict()
+        assert BloomFilter.from_dict(doc).to_dict() == doc
+        bf.clear()
+        assert bf.fill_fraction == 0.0
+        assert bf._array == bytearray(len(bf._array))
+        assert len(bf._array) == (bits + 7) // 8
+
+
 class TestMeasuredFalsePositiveRate:
     """Statistical check of the Severance–Lohman sizing the paper leans on:
     a filter sized by for_load(n, p) must actually screen near p."""

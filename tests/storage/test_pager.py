@@ -1,16 +1,22 @@
 """Simulated disk, buffer pool and cost meter."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.parameters import PAPER_DEFAULTS
+from repro.storage import pager
+from repro.storage.hashindex import HashFile
 from repro.storage.pager import (
     BufferPool,
     CostMeter,
     Page,
     PageId,
+    PageChecksumError,
     PageOverflowError,
     SimulatedDisk,
 )
+from repro.storage.tuples import Schema
 
 
 @pytest.fixture
@@ -96,6 +102,60 @@ class TestDisk:
         assert page.page_id not in disk
 
 
+def _scanned_pages(disk, file):
+    """Brute-force reference for the per-file page index."""
+    return sorted((pid for pid in disk._pages if pid.file == file),
+                  key=lambda pid: pid.number)
+
+
+_CATALOG_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("allocate"), st.sampled_from(["f", "g", "h.hash"])),
+        st.tuples(st.just("free"), st.integers(min_value=0, max_value=63)),
+        st.tuples(st.just("insert"), st.integers(min_value=0, max_value=40)),
+        st.tuples(st.just("truncate"), st.just(0)),
+    ),
+    max_size=60,
+)
+
+
+class TestPageCatalog:
+    """file_pages/page_count/files come from an index, not a page scan."""
+
+    @given(ops=_CATALOG_OPS)
+    @settings(max_examples=80, deadline=None)
+    def test_index_matches_a_full_scan_after_every_step(self, ops):
+        disk = SimulatedDisk(CostMeter())
+        pool = BufferPool(disk, capacity=8)
+        schema = Schema("r", ("j", "c"), "j")
+        hashed = HashFile("x", pool, hash_key=lambda r: r["j"],
+                          records_per_page=2, buckets=3)
+        allocated = []
+        for op, arg in ops:
+            if op == "allocate":
+                allocated.append(disk.allocate(arg, 4).page_id)
+            elif op == "free" and allocated:
+                disk.free(allocated.pop(arg % len(allocated)))
+            elif op == "insert":
+                hashed.insert(schema.new_record(j=arg, c=0))
+            elif op == "truncate":
+                hashed.truncate()
+            files = sorted({pid.file for pid in disk._pages})
+            assert disk.files() == files
+            for file in files + ["never-allocated"]:
+                assert disk.file_pages(file) == _scanned_pages(disk, file)
+                assert disk.page_count(file) == len(_scanned_pages(disk, file))
+
+    def test_free_of_unknown_page_is_a_noop(self, disk):
+        page = disk.allocate("f", 4)
+        disk.free(PageId("f", 99))
+        disk.free(PageId("nope", 0))
+        disk.free(page.page_id)
+        disk.free(page.page_id)
+        assert disk.files() == []
+        assert disk.page_count("f") == 0
+
+
 class TestChecksums:
     def write_one(self, disk, records=("x", "y")):
         page = disk.allocate("f", 4)
@@ -146,6 +206,7 @@ class TestChecksums:
         disk.corrupt(page.page_id)
         disk.write(page)  # a fresh write records a fresh checksum
         assert disk.verify(page.page_id) is None
+        disk.verify_reads = True
         assert disk.read(page.page_id).records == page.records
 
     def test_corrupt_is_noop_on_damaged_or_unallocated(self, disk):
@@ -159,6 +220,37 @@ class TestChecksums:
         disk.write(page)  # no records: damage must hit next_page instead
         assert disk.corrupt(page.page_id) is not None
         assert disk.verify(page.page_id) == "checksum mismatch"
+
+    def test_corrupt_on_never_verified_pages_is_caught(self, disk):
+        """Checksums are pinned lazily; damage to a page whose checksum
+        is still pending is caught by a verified read and by verify()."""
+        fresh = disk.allocate("f", 4).page_id  # allocated, never written
+        rewritten = self.write_one(disk)
+        rewritten.add("z")
+        disk.write(rewritten)  # written twice, never verified
+        for page_id in (fresh, rewritten.page_id):
+            assert disk.corrupt(page_id) is not None
+            assert disk.verify(page_id) == "checksum mismatch"
+            disk.verify_reads = True
+            with pytest.raises(PageChecksumError):
+                disk.read(page_id)
+            disk.verify_reads = False
+
+    def test_unverified_writes_compute_no_checksum(self, disk, monkeypatch):
+        calls = []
+        real = pager.page_checksum
+        monkeypatch.setattr(pager, "page_checksum",
+                            lambda page: calls.append(page) or real(page))
+        assert not disk.verify_reads
+        pages = [disk.allocate(f"f{n % 3}", 4) for n in range(12)]
+        for round_ in range(3):
+            for page in pages:
+                page.add(round_)
+                disk.write(page)
+                disk.read(page.page_id)
+        assert calls == []
+        assert disk.verify(pages[0].page_id) is None  # pins it now
+        assert len(calls) == 1
 
 
 class TestBufferPool:
